@@ -8,6 +8,9 @@
       the last element.  The real {!Repro_deque.Ws_deque} code is
       instantiated with the tracing shim — the checker explores the
       production algorithm, not a model of it.
+      The fiber join's [pop_if] (take a still-queued child back off the
+      bottom) races a thief on a one-element deque the same way; its
+      mutant, which skips the CAS on [top], runs the child twice.
     - {b Future claim} (eager black-holing, Sec. IV-A.3): the
       Todo→Running CAS makes claiming atomic with starting evaluation,
       so two forcers plus a stealing worker evaluate the body exactly
@@ -28,6 +31,11 @@
       The resume-before-park mutant publishes the parked resume after
       its emptiness check, exactly the window the CAS list closes, and
       sleeps forever on a promise that is already resolved.
+    - {b Fiber cancellation registry}: the real {!Repro_fiber.Kids}
+      functor — a spawn registers its child {e then} reads the parent's
+      flag while a canceller sets the flag {e then} snapshots the
+      registry, so the child is always cancelled.  The
+      check-then-register mutant loses the cancellation.
     - {b SPSC ring} (the shm transport's frame handshake): the real
       {!Repro_dist.Shm_ring.Spsc} functor over traced control words —
       write the slot {e then} publish the tail; observe, read, {e then}
@@ -155,6 +163,61 @@ let deque_missing_cas_mutant () =
       if n <> 1 then
         failwith
           (Printf.sprintf "single element consumed %d times (want 1)" n) )
+
+(* A fiber join takes its still-queued child back off the bottom of its
+   own one-element deque with [pop_if] while a thief steals from the
+   top: whichever side wins runs the child's start task, and it runs
+   exactly once (leftovers are drained and run by the check). *)
+let deque_pop_if_vs_thief () =
+  let q = D.create () in
+  let runs = Sched.Atomic.make 0 in
+  Sched.set_name runs "runs";
+  Sched.set_printer runs string_of_int;
+  let child () = Sched.Atomic.incr runs in
+  D.push q child;
+  ( [
+      ("joiner", fun () -> if D.pop_if q child then child ());
+      ("thief", fun () -> Option.iter (fun t -> t ()) (D.steal q));
+    ],
+    fun () ->
+      List.iter (fun t -> t ()) (D.drain q);
+      let n = Sched.Atomic.get runs in
+      if n <> 1 then
+        failwith
+          (Printf.sprintf "child start task ran %d times (want 1)" n) )
+
+(* Mutant: a distilled [pop_if] that, finding its child in the last
+   slot, takes it without racing the CAS on [top].  A thief that read
+   [top] and [bottom] before the joiner's decrement wins its CAS too,
+   and the child runs twice. *)
+let deque_pop_if_missing_cas_mutant () =
+  let top = Sched.Atomic.make 0 in
+  let bottom = Sched.Atomic.make 1 in
+  let runs = Sched.Atomic.make 0 in
+  Sched.set_name top "top";
+  Sched.set_name bottom "bottom";
+  Sched.set_name runs "runs";
+  List.iter (fun c -> Sched.set_printer c string_of_int) [ top; bottom; runs ];
+  let pop_if () =
+    let b = Sched.Atomic.get bottom - 1 in
+    if b >= Sched.Atomic.get top then begin
+      Sched.Atomic.set bottom b;
+      (* BUG: last element taken with no compare_and_set on top *)
+      Sched.Atomic.incr runs
+    end
+  in
+  let steal () =
+    let t = Sched.Atomic.get top in
+    let b = Sched.Atomic.get bottom in
+    if b - t > 0 && Sched.Atomic.compare_and_set top t (t + 1) then
+      Sched.Atomic.incr runs
+  in
+  ( [ ("joiner", pop_if); ("thief", steal) ],
+    fun () ->
+      let n = Sched.Atomic.get runs in
+      if n <> 1 then
+        failwith
+          (Printf.sprintf "child start task ran %d times (want 1)" n) )
 
 (* ------------------------------------------------------------------ *)
 (* Future claim protocol (eager black-holing)                          *)
@@ -553,6 +616,51 @@ let promise_resume_before_park_mutant () =
       if Sched.Atomic.get resolved <> 1 then failwith "promise not resolved" )
 
 (* ------------------------------------------------------------------ *)
+(* Fiber cancellation registry (spawn vs cancel)                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The production registry code under the DPOR scheduler; a child is
+   modelled by its cancelled flag. *)
+module K = Repro_fiber.Kids.Make (Sched.Atomic)
+
+let flag name =
+  let c = Sched.Atomic.make false in
+  Sched.set_name c name;
+  Sched.set_printer c string_of_bool;
+  c
+
+(* [Fiber.spawn] racing [Fiber.cancel] on the parent.  The spawner
+   registers the child, then reads the parent's flag; the canceller
+   sets the flag, then cancels every child in a registry snapshot.
+   [register_first:false] is the mutant that reads the flag before
+   registering: a cancel landing between the two sees the flag unset
+   on one side and an empty registry on the other. *)
+let spawn_vs_cancel ~register_first () =
+  let parent = flag "parent_cancelled" in
+  let child = flag "child_cancelled" in
+  let kids = K.create () in
+  let slot = K.slot () in
+  let spawn () =
+    if register_first then begin
+      K.register kids slot child;
+      if Sched.Atomic.get parent then Sched.Atomic.set child true
+    end
+    else begin
+      let cancelled = Sched.Atomic.get parent in
+      K.register kids slot child;
+      if cancelled then Sched.Atomic.set child true
+    end
+  in
+  let cancel () =
+    Sched.Atomic.set parent true;
+    List.iter (fun c -> Sched.Atomic.set c true) (K.snapshot kids)
+  in
+  ( [ ("spawner", spawn); ("canceller", cancel) ],
+    fun () ->
+      if not (Sched.Atomic.get child) then
+        failwith "child spawned during the cancel was never cancelled" )
+
+(* ------------------------------------------------------------------ *)
 (* SPSC ring (shm transport frame handshake)                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -691,6 +799,12 @@ let protocols =
       scenario = deque_two_thieves;
     };
     {
+      cname = "deque-pop-if-vs-thief";
+      descr = "fiber join's pop_if races a thief: child runs once (real code)";
+      expect = Must_pass;
+      scenario = deque_pop_if_vs_thief;
+    };
+    {
       cname = "future-exactly-once";
       descr = "eager black-hole CAS: 2 forcers + stealing worker, 1 eval";
       expect = Must_pass;
@@ -739,6 +853,12 @@ let protocols =
       scenario = promise_once_resume;
     };
     {
+      cname = "fiber-spawn-vs-cancel";
+      descr = "spawn registers then checks vs cancel: child cancelled (real code)";
+      expect = Must_pass;
+      scenario = spawn_vs_cancel ~register_first:true;
+    };
+    {
       cname = "spsc-ring-wrap";
       descr = "shm SPSC ring at cap 1: FIFO through full wrap-around (real code)";
       expect = Must_pass;
@@ -761,6 +881,12 @@ let mutants =
       scenario = deque_missing_cas_mutant;
     };
     {
+      cname = "mutant-deque-pop-if-missing-cas";
+      descr = "pop_if takes last element without CAS: child runs twice";
+      expect = Must_fail;
+      scenario = deque_pop_if_missing_cas_mutant;
+    };
+    {
       cname = "mutant-lazy-blackhole";
       descr = "claim by read-then-write: double evaluation";
       expect = Must_fail;
@@ -777,6 +903,12 @@ let mutants =
       descr = "fiber parks after its check: fulfiller misses it, lost wakeup";
       expect = Must_fail;
       scenario = promise_resume_before_park_mutant;
+    };
+    {
+      cname = "mutant-fiber-check-then-register";
+      descr = "spawn checks the flag before registering: cancel lost";
+      expect = Must_fail;
+      scenario = spawn_vs_cancel ~register_first:false;
     };
     {
       cname = "mutant-spsc-publish-before-write";

@@ -1,7 +1,9 @@
 (** Model-checking scenarios for the executor's lock-free protocols
-    (Chase–Lev deque, Future eager-black-hole claim, Pool park/unpark
-    handshake) and deliberately broken mutants the checker must catch.
-    See [protocols.ml] for the scenario descriptions. *)
+    (Chase–Lev deque and the fiber join's [pop_if], Future
+    eager-black-hole claim, Pool park/unpark handshake, fiber promise
+    and cancellation registry, shm SPSC ring) and deliberately broken
+    mutants the checker must catch.  See [protocols.ml] for the
+    scenario descriptions. *)
 
 exception Boom
 (** Raised by the body in the future-exception scenario. *)

@@ -10,6 +10,8 @@
     - [push] (owner only): write at [bottom], increment [bottom];
     - [pop] (owner only): decrement [bottom]; if the deque might now be
       empty, race a CAS on [top] against concurrent stealers;
+    - [pop_if] (owner only): [pop], but only when the bottom slot holds
+      a given element — a mismatch writes nothing;
     - [steal] (any thread): read [top], read the element, CAS [top]
       forward; a failed CAS means another stealer (or the owner's pop)
       won the race.
@@ -32,6 +34,7 @@ module type S = sig
   val is_empty : 'a t -> bool
   val push : 'a t -> 'a -> unit
   val pop : 'a t -> 'a option
+  val pop_if : 'a t -> 'a -> bool
   val steal : 'a t -> 'a option
   val drain : 'a t -> 'a list
 end
@@ -119,6 +122,16 @@ module Make (A : Repro_shim.Tatomic.S) = struct
         end
         else None
       end
+
+  (* Owner only: pop the bottom element iff it is physically [v].  Only
+     the owner writes slots and [bottom], so a slot that matches still
+     holds [v] when [pop] runs; [pop] then races thieves for it, and
+     [None] means one of them won. *)
+  let pop_if q v =
+    let b = A.get q.bottom - 1 in
+    b >= A.get q.top
+    && (match ca_get (A.get q.active) b with Some x -> x == v | None -> false)
+    && Option.is_some (pop q)
 
   (* Any thread: FIFO steal from the top. *)
   let steal q =

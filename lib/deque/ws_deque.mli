@@ -27,6 +27,15 @@ module type S = sig
   (** Owner only: LIFO pop from the bottom. *)
   val pop : 'a t -> 'a option
 
+  (** Owner only: [pop_if q v] pops the bottom element iff it is
+      physically equal to [v], and reports whether it did.  A mismatch
+      (or an empty deque) writes nothing, so thieves never observe a
+      transient empty deque; a match races thieves for the last element
+      exactly as {!pop} does, so [v] is consumed by exactly one side.
+      The fiber layer's join uses it to run a still-queued child
+      inline. *)
+  val pop_if : 'a t -> 'a -> bool
+
   (** Any thread: FIFO steal from the top.  [None] when empty or when a
       concurrent operation won the race. *)
   val steal : 'a t -> 'a option

@@ -73,6 +73,7 @@ module type S = sig
   val ctx_id : ctx -> int
   val push : ctx -> task -> unit
   val push_plain : ctx -> task -> unit
+  val pop_if : ctx -> task -> bool
   val inject : t -> task -> unit
   val inject_on : t -> int -> task -> unit
   val help : ctx -> bool
@@ -334,6 +335,12 @@ module Make (A : Repro_shim.Tatomic.S) = struct
   let push_plain ((t, w) : ctx) task =
     Ws_deque.push w.deque task;
     signal_work w.counters t
+
+  (* Owner-side: take [task] back off the bottom of this worker's deque
+     if no thief has got to it — the fiber layer's join runs a
+     still-queued child inline this way.  Plain tasks only, so there is
+     no spark ledger entry to settle. *)
+  let pop_if ((_, w) : ctx) task = Ws_deque.pop_if w.deque task
 
   (* Injection into a specific worker's FIFO inbox lane: callable from
      any domain (no ctx needed) — external wakeups, pinned fiber

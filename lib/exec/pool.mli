@@ -85,6 +85,14 @@ module type S = sig
       deque entry; drain such tasks before {!shutdown}. *)
   val push_plain : ctx -> task -> unit
 
+  (** Owner only: [pop_if ctx task] removes [task] from the bottom of
+      the current worker's deque iff it is still there (physical
+      equality) and no thief wins it first; [true] means the caller now
+      owns it and must run it.  Never pushes anything back.  Meant for
+      tasks queued with {!push_plain}: the fiber layer's join uses it
+      to run a still-queued child inline, as a forced spark fizzles. *)
+  val pop_if : ctx -> task -> bool
+
   (** Round-robin injection into a worker's FIFO inbox lane, callable
       from any domain — no [ctx] required.  Inbox tasks run in arrival
       order after the owner's deque is dry and are never stolen. *)

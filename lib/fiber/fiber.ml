@@ -16,6 +16,13 @@
       point) is a plain [unit -> unit] pool task, executed by the
       worker loop under the fiber's effect handler
       ([Effect.Deep.match_with] installed at {!spawn});
+    - a {!join} on a child whose start task is still at the bottom of
+      the joiner's own deque takes it back ([Pool.pop_if]) and runs it
+      inline, on the joiner's stack under the child's own handler —
+      the child {e fizzles} the way a forced spark does (the paper's
+      eager black-holing, Sec. IV-A.3).  Only a child that a thief
+      took, that is pinned, or that suspends mid-run makes the joiner
+      park;
     - [perform Suspend] captures the one-shot continuation, wraps its
       resume in {!Promise.once} (so a racing canceller cannot double
       resume), parks it on the fiber record and hands it to the waker
@@ -62,7 +69,6 @@ type timer = {
 
 type sched = {
   pool : Pool.t;
-  next_fid : int A.t;
   spawned : int A.t;
   completed : int A.t;  (* finished with a value *)
   cancelled : int A.t;  (* finished by cancellation *)
@@ -78,23 +84,24 @@ type sched = {
 }
 
 type fiber = {
-  fid : int;
   sched : sched;
   pin : int option;  (* worker id this fiber is pinned to, if any *)
   cancelled_f : bool A.t;
   parked : (unit -> unit) option A.t;
       (* the once-wrapped resume while suspended: a canceller exchanges
          it out and fires it, waking the fiber into [discontinue] *)
-  kids : (Mutex.t * (int, fiber) Hashtbl.t) option A.t;
-      (* children registry for cancellation propagation; created lazily
-         by the owner on first spawn (atomic cell + mutex so a racing
-         canceller sees both the registry and its contents — see
-         [do_cancel]) *)
+  kids : fiber Kids.t;  (* children, for cancellation propagation *)
+  kslot : fiber Kids.slot;
+      (* this fiber's slot in its parent's [kids], cleared at finish *)
   parent : fiber option;
   birth_ns : int;
 }
 
-type 'a handle = { h_fb : fiber; h_done : 'a Promise.t }
+type 'a handle = {
+  h_fb : fiber;
+  h_done : 'a Promise.t;
+  h_start : Pool.task;  (* the start task [join] may run inline *)
+}
 
 type stats = {
   s_spawned : int;
@@ -129,7 +136,14 @@ let self_exn name =
 let with_fiber fb g =
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some fb);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_key saved) g
+  match g () with
+  | v ->
+      Domain.DLS.set current_key saved;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Domain.DLS.set current_key saved;
+      Printexc.raise_with_backtrace e bt
 
 (* Cancellation is visible transitively: a child spawned in the window
    while its parent's registry snapshot was being taken still observes
@@ -185,17 +199,9 @@ let finish fb res on_done =
   | Error Cancelled -> A.incr s.cancelled
   | Error _ -> A.incr s.failed);
   if M.enabled M.default then M.observe s.lifetime (M.now_ns () - fb.birth_ns);
-  (* Unregister from the parent so a long-lived parent's registry does
-     not accumulate dead children. *)
-  (match fb.parent with
-  | Some p -> (
-      match A.get p.kids with
-      | Some (kl, kt) ->
-          Mutex.lock kl;
-          Hashtbl.remove kt fb.fid;
-          Mutex.unlock kl
-      | None -> ())
-  | None -> ());
+  (* Empty our slot so the parent's registry no longer retains this
+     finished subtree; the parent prunes the slot lazily. *)
+  Kids.clear fb.kslot;
   (* Resolve before the live decrement: a driver that has seen
      [live = 0] must also see every completion value. *)
   on_done res;
@@ -237,7 +243,8 @@ let on_yield fb (k : (unit, unit) Effect.Deep.continuation) =
   enqueue_yield fb (step fb k)
 
 (* Launch a fiber: its whole life runs under this handler, segment by
-   segment, on whatever workers pick the segments up. *)
+   segment, on whatever workers pick the segments up.  Returns the
+   enqueued start task, which [join] may take back and run inline. *)
 let start fb comp on_done =
   let task () =
     with_fiber fb (fun () ->
@@ -263,7 +270,8 @@ let start fb comp on_done =
                 | _ -> None);
           })
   in
-  enqueue fb task
+  enqueue fb task;
+  task
 
 (* ------------------------------------------------------------------ *)
 (* Public suspension API                                               *)
@@ -368,12 +376,12 @@ let[@sanctioned_blocking] sleep secs =
 
 let new_fiber s ~pin ~parent =
   {
-    fid = A.fetch_and_add s.next_fid 1;
     sched = s;
     pin;
     cancelled_f = A.make false;
     parked = A.make None;
-    kids = A.make None;
+    kids = Kids.create ();
+    kslot = Kids.slot ();
     parent;
     birth_ns = M.now_ns ();
   }
@@ -381,16 +389,9 @@ let new_fiber s ~pin ~parent =
 let rec do_cancel fb =
   if not (A.exchange fb.cancelled_f true) then begin
     (* Flag first, registry snapshot second: a spawn whose child missed
-       this snapshot reads the flag after registering (spawn's
-       registry CS is ordered with ours by the mutex) and cancels the
-       child itself. *)
-    (match A.get fb.kids with
-    | Some (kl, kt) ->
-        Mutex.lock kl;
-        let kids = Hashtbl.fold (fun _ c acc -> c :: acc) kt [] in
-        Mutex.unlock kl;
-        List.iter do_cancel kids
-    | None -> ());
+       this snapshot reads the flag after registering and cancels the
+       child itself (see [Kids]). *)
+    List.iter do_cancel (Kids.snapshot fb.kids);
     match A.exchange fb.parked None with
     | Some resume -> resume ()
     | None -> ()
@@ -404,33 +405,41 @@ let launch parent ?pin f =
   | _ -> ());
   let child = new_fiber s ~pin ~parent:(Some parent) in
   (* Register with the parent before the cancellation check (see
-     do_cancel for the ordering argument). *)
-  let kl, kt =
-    match A.get parent.kids with
-    | Some kk -> kk
-    | None ->
-        let kk = (Mutex.create (), Hashtbl.create 8) in
-        A.set parent.kids (Some kk);
-        kk
-  in
-  Mutex.lock kl;
-  Hashtbl.replace kt child.fid child;
-  Mutex.unlock kl;
+     do_cancel for the ordering argument).  Only the parent's own
+     segments reach here, so the single-writer registry needs no lock. *)
+  Kids.register parent.kids child.kslot child;
   A.incr s.spawned;
   bump_live s;
   let h_done = Promise.create () in
-  start child f (fun res ->
-      match res with
-      | Ok v -> ignore (Promise.try_fulfil h_done v)
-      | Error e -> ignore (Promise.try_break h_done e));
+  let task =
+    start child f (fun res ->
+        match res with
+        | Ok v -> ignore (Promise.try_fulfil h_done v)
+        | Error e -> ignore (Promise.try_break h_done e))
+  in
   if A.get parent.cancelled_f then do_cancel child;
-  { h_fb = child; h_done }
+  { h_fb = child; h_done; h_start = task }
 
 let spawn f = launch (self_exn "Fiber.spawn") f
 let spawn_on i f = launch (self_exn "Fiber.spawn_on") ~pin:i f
 let promise_of h = h.h_done
 
-let[@sanctioned_blocking] join h = await h.h_done
+(* A child still at the bottom of the joiner's own deque is taken back
+   and run inline: its start task installs the child's handler and
+   binding on this stack, so cancellation, lifetime accounting and
+   suspension behave exactly as on a worker.  A pinned child is never
+   on a deque, so it is never inlined.  If the child suspends,
+   only its own continuation is captured; the task returns and the
+   joiner falls through to [await] like any other. *)
+let[@sanctioned_blocking] join h =
+  (if h.h_fb.pin = None && not (Promise.is_resolved h.h_done) then
+     match Pool.current () with
+     | Some ctx
+       when Pool.ctx_pool ctx == h.h_fb.sched.pool
+            && Pool.pop_if ctx h.h_start ->
+         h.h_start ()
+     | _ -> ());
+  await h.h_done
 
 let cancel h = do_cancel h.h_fb
 let is_cancelled h = A.get h.h_fb.cancelled_f
@@ -475,6 +484,7 @@ let stats_of s =
   }
 
 let stats () = stats_of (self_exn "Fiber.stats").sched
+let children_slots () = Kids.length (self_exn "Fiber.children_slots").kids
 let in_fiber () = Option.is_some (current ())
 
 (* ------------------------------------------------------------------ *)
@@ -484,7 +494,6 @@ let in_fiber () = Option.is_some (current ())
 let make_sched pool =
   {
     pool;
-    next_fid = A.make 0;
     spawned = A.make 0;
     completed = A.make 0;
     cancelled = A.make 0;
@@ -534,7 +543,7 @@ let run_in pool f =
           let root = new_fiber s ~pin:None ~parent:None in
           A.incr s.spawned;
           bump_live s;
-          start root f (fun res -> result := Some res);
+          let (_ : Pool.task) = start root f (fun res -> result := Some res) in
           let ctx =
             match Pool.current () with Some c -> c | None -> assert false
           in

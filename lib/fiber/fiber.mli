@@ -58,7 +58,8 @@ val run_in : Repro_exec.Pool.t -> (unit -> 'a) -> 'a
 
 val spawn : (unit -> 'a) -> 'a handle
 (** Child fiber of the current fiber; its first segment is pushed onto
-    the current worker's deque (stealable).
+    the current worker's deque (stealable; a {!join} that finds it
+    still there runs it inline).
     @raise Invalid_argument outside a fiber. *)
 
 val spawn_on : int -> (unit -> 'a) -> 'a handle
@@ -72,8 +73,12 @@ val await : 'a Promise.t -> 'a
     tasks. *)
 
 val join : 'a handle -> 'a
-(** {!await} the fiber's completion promise (raises {!Cancelled} if it
-    was cancelled, or its escaping exception). *)
+(** The fiber's result (raises {!Cancelled} if it was cancelled, or its
+    escaping exception).  A child still queued at the bottom of the
+    joiner's own deque — no thief took it, it is not pinned — is taken
+    back and run inline on the joiner's stack, as a forced spark
+    fizzles; otherwise, or if the inlined child suspends, this
+    {!await}s its completion promise. *)
 
 val promise_of : 'a handle -> 'a Promise.t
 
@@ -94,6 +99,12 @@ val is_cancelled : _ handle -> bool
 
 val stats : unit -> stats
 (** Live scheduler counters, from inside a fiber. *)
+
+val children_slots : unit -> int
+(** Slots in the current fiber's cancellation registry: its live
+    children plus finished ones not yet pruned.  Pruning keeps it
+    within 8 or twice the children that survived the last prune, so it
+    stays bounded however many children a long-lived fiber has had. *)
 
 val in_fiber : unit -> bool
 (** [true] when the calling code runs inside a fiber (any domain). *)

@@ -53,6 +53,23 @@ let deque_drain () =
   List.iter (Ws_deque.push q) [ 1; 2; 3 ];
   check Alcotest.(list int) "drain pops LIFO" [ 3; 2; 1 ] (Ws_deque.drain q)
 
+let deque_pop_if () =
+  let q = Ws_deque.create () in
+  List.iter (Ws_deque.push q) [ 1; 2; 3 ];
+  check Alcotest.bool "not at the bottom: refused" false (Ws_deque.pop_if q 2);
+  check Alcotest.int "refusal leaves the deque whole" 3 (Ws_deque.size q);
+  check Alcotest.bool "bottom element taken" true (Ws_deque.pop_if q 3);
+  check Alcotest.(option int) "thief still gets the top" (Some 1)
+    (Ws_deque.steal q);
+  check Alcotest.bool "last element taken" true (Ws_deque.pop_if q 2);
+  check Alcotest.bool "empty: refused" false (Ws_deque.pop_if q 2);
+  (* a stolen element's slot still holds it; pop_if must not take it *)
+  Ws_deque.push q 4;
+  check Alcotest.(option int) "stolen" (Some 4) (Ws_deque.steal q);
+  check Alcotest.bool "stolen element refused" false (Ws_deque.pop_if q 4);
+  Ws_deque.push q 5;
+  check Alcotest.(list int) "deque still usable" [ 5 ] (Ws_deque.drain q)
+
 (* Model test: a random sequence of owner pushes/pops, steals and
    drains must behave like a reference double-ended queue. *)
 let deque_qcheck_model =
@@ -293,6 +310,7 @@ let suite =
       test_case "mixed pop/steal" `Quick deque_mixed;
       test_case "grows beyond initial capacity" `Quick deque_grows;
       test_case "drain" `Quick deque_drain;
+      test_case "pop_if takes only its own bottom element" `Quick deque_pop_if;
       QCheck_alcotest.to_alcotest deque_qcheck_model;
       QCheck_alcotest.to_alcotest deque_qcheck_concurrent_model;
       test_case "multi-domain stress" `Slow deque_domains_stress;
