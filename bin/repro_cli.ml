@@ -386,49 +386,69 @@ let exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out =
   emit out (Buffer.contents buf);
   if health_code <> 0 then exit health_code
 
-let exec_cmd =
-  let module Workload = Repro_exec.Workload in
-  let module Harness = Repro_exec.Harness in
-  let workload =
-    let doc =
-      Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
-    in
-    let workload_conv =
-      Arg.enum (List.map (fun (module W : Workload.S) -> (W.name, (module W : Workload.S))) Workload.all)
-    in
-    Arg.(
-      value
-      & opt workload_conv (List.hd Workload.all)
-      & info [ "workload"; "w" ] ~doc ~docv:"WORKLOAD")
+(* ------------ exec and dist: one registry, two interpreters ------------ *)
+
+module Rounds = Repro_workloads.Rounds
+
+let workload_arg =
+  let doc = Printf.sprintf "Workload: %s." (String.concat ", " Rounds.names) in
+  let workloads =
+    Arg.enum
+      (List.map
+         (fun (module W : Rounds.S) -> (W.name, (module W : Rounds.S)))
+         Rounds.all)
   in
+  Arg.(
+    value
+    & opt workloads (List.hd Rounds.all)
+    & info [ "workload"; "w" ] ~doc ~docv:"WORKLOAD")
+
+let size_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "size"; "n" ] ~doc:"Problem size (workload-specific)." ~docv:"S")
+
+let repeat_arg ~per =
+  Arg.(
+    value & opt int 3
+    & info [ "repeat"; "r" ] ~doc:("Timed runs per " ^ per ^ ".") ~docv:"R")
+
+let sweep_arg ~upto =
+  Arg.(
+    value & flag
+    & info [ "sweep" ]
+        ~doc:
+          (Printf.sprintf
+             "Measure at 1, 2, 4, ... up to %s workers (instead of just 1 and %s)."
+             upto upto))
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~doc:"Write measurements as JSON to $(docv)." ~docv:"FILE")
+
+(* --size, checked, or the workload's quick or default size. *)
+let resolve_size ~cmd ~quick (module W : Rounds.S) = function
+  | Some s when s < 0 ->
+      Printf.eprintf "repro-cli: %s: --size must be >= 0 (got %d)\n" cmd s;
+      exit 2
+  | Some s -> s
+  | None -> if quick then W.quick_size else W.default_size
+
+(* Worker counts to measure at: the 1, 2, 4, ... ladder up to [n] with
+   --sweep, else 1 and [n]. *)
+let ladder ~sweep n =
+  if sweep then Repro_exec.Harness.core_counts_up_to n
+  else if n = 1 then [ 1 ]
+  else [ 1; n ]
+
+let exec_cmd =
+  let module Harness = Repro_exec.Harness in
   let cores =
     let doc = "Number of domains (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "cores"; "c" ] ~doc ~docv:"N")
-  in
-  let size =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "size"; "n" ] ~doc:"Problem size (workload-specific)." ~docv:"S")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat"; "r" ] ~doc:"Timed runs per core count." ~docv:"R")
-  in
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:"Measure at 1, 2, 4, ... up to $(b,--cores) domains (instead \
-                of just 1 and $(b,--cores)).")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write measurements as JSON to $(docv)."
-          ~docv:"FILE")
   in
   let exec_events =
     Arg.(
@@ -473,28 +493,16 @@ let exec_cmd =
              with $(b,--metrics)/$(b,--metrics-om)/$(b,--strict-health)."
           ~docv:"N")
   in
-  let run (module W : Workload.S) cores size repeat sweep_flag json_file
+  let run def cores size repeat sweep_flag json_file
       exec_events trace_file trace_svg fibers mfile mint mom strict quick out =
     let hw = Domain.recommended_domain_count () in
     let cores = match cores with Some c -> max 1 c | None -> hw in
     match fibers with
     | Some nfibers -> exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out
     | None ->
-    let size =
-      match size with
-      | Some s ->
-          if s < 0 then begin
-            Printf.eprintf "repro-cli: exec: --size must be >= 0 (got %d)\n" s;
-            exit 2
-          end;
-          s
-      | None -> if quick then W.quick_size else W.default_size
-    in
-    let cores_list =
-      if sweep_flag then Harness.core_counts_up_to cores
-      else if cores = 1 then [ 1 ]
-      else [ 1; cores ]
-    in
+    let (module W) = Repro_exec.Workload.of_rounds def in
+    let size = resolve_size ~cmd:"exec" ~quick def size in
+    let cores_list = ladder ~sweep:sweep_flag cores in
     let meta =
       Repro_util.Json_out.
         [
@@ -683,60 +691,20 @@ let exec_cmd =
          "Run a workload for real on OCaml 5 domains (work-stealing \
           executor) and report measured wall-clock speedups")
     Term.(
-      const run $ workload $ cores $ size $ repeat $ sweep_flag $ json_file
-      $ exec_events $ trace_file $ trace_svg $ fibers_arg $ metrics_file_arg
-      $ metrics_interval_arg $ metrics_om_arg $ strict_health_arg $ quick
-      $ out_file)
+      const run $ workload_arg $ cores $ size_arg
+      $ repeat_arg ~per:"core count"
+      $ sweep_arg ~upto:"$(b,--cores)"
+      $ json_arg $ exec_events $ trace_file $ trace_svg $ fibers_arg
+      $ metrics_file_arg $ metrics_interval_arg $ metrics_om_arg
+      $ strict_health_arg $ quick $ out_file)
 
 (* ---------------- dist: multi-process (Eden/GUM) execution ---------------- *)
 
 let dist_cmd =
-  let module Workload = Repro_dist.Workload in
   let module Measure = Repro_dist.Measure in
-  let workload =
-    let doc =
-      Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
-    in
-    let workload_conv =
-      Arg.enum
-        (List.map
-           (fun (module W : Workload.S) -> (W.name, (module W : Workload.S)))
-           Workload.all)
-    in
-    Arg.(
-      value
-      & opt workload_conv (List.hd Workload.all)
-      & info [ "workload"; "w" ] ~doc ~docv:"WORKLOAD")
-  in
   let procs =
     let doc = "Number of worker processes (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "procs"; "p" ] ~doc ~docv:"N")
-  in
-  let size =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "size"; "n" ] ~doc:"Problem size (workload-specific)." ~docv:"S")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat"; "r" ] ~doc:"Timed runs per process count." ~docv:"R")
-  in
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "Measure at 1, 2, 4, ... up to $(b,--procs) processes (instead \
-             of just 1 and $(b,--procs)).")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write measurements as JSON to $(docv)."
-          ~docv:"FILE")
   in
   let trace_file =
     Arg.(
@@ -766,25 +734,12 @@ let dist_cmd =
           Repro_dist.Farm.Sock
       & info [ "transport" ] ~doc ~docv:"sock|shm")
   in
-  let run (module W : Workload.S) procs size repeat sweep_flag json_file
+  let run (module W : Rounds.S) procs size repeat sweep_flag json_file
       trace_file transport mfile mint mom strict quick out =
     let hw = Domain.recommended_domain_count () in
     let procs = match procs with Some p -> max 1 p | None -> hw in
-    let size =
-      match size with
-      | Some s ->
-          if s < 0 then begin
-            Printf.eprintf "repro-cli: dist: --size must be >= 0 (got %d)\n" s;
-            exit 2
-          end;
-          s
-      | None -> if quick then W.quick_size else W.default_size
-    in
-    let procs_list =
-      if sweep_flag then Repro_exec.Harness.core_counts_up_to procs
-      else if procs = 1 then [ 1 ]
-      else [ 1; procs ]
-    in
+    let size = resolve_size ~cmd:"dist" ~quick (module W) size in
+    let procs_list = ladder ~sweep:sweep_flag procs in
     let transport_name = Repro_dist.Farm.transport_name transport in
     let meta =
       Repro_util.Json_out.
@@ -902,9 +857,11 @@ let dist_cmd =
           -- $(b,--transport)) and report wall-clock speedups plus \
           message/byte/GC counters")
     Term.(
-      const run $ workload $ procs $ size $ repeat $ sweep_flag $ json_file
-      $ trace_file $ transport $ metrics_file_arg $ metrics_interval_arg
-      $ metrics_om_arg $ strict_health_arg $ quick $ out_file)
+      const run $ workload_arg $ procs $ size_arg
+      $ repeat_arg ~per:"process count"
+      $ sweep_arg ~upto:"$(b,--procs)"
+      $ json_arg $ trace_file $ transport $ metrics_file_arg
+      $ metrics_interval_arg $ metrics_om_arg $ strict_health_arg $ quick $ out_file)
 
 (* ---------------- profile: post-hoc trace analysis ---------------- *)
 

@@ -12,31 +12,6 @@ module Stats = Repro_util.Stats
 module Tablefmt = Repro_util.Tablefmt
 module Json = Repro_util.Json_out
 
-type per_pe = {
-  pe : int;
-  pe_tasks : int;
-  pe_fishes : int;
-  pe_stolen : int;
-  pe_grants : int;
-  msgs_sent : int;
-  msgs_recv : int;
-  bytes_sent : int;
-  bytes_recv : int;
-  packets_sent : int;
-  packets_recv : int;
-  payload_bytes_sent : int;
-  payload_bytes_recv : int;
-  zero_copy_bytes_sent : int;
-  zero_copy_bytes_recv : int;
-  pack_ns : int;
-  unpack_ns : int;
-  exec_ns : int;
-  gc_minor_collections : int;
-  gc_major_collections : int;
-  gc_minor_words : float;
-  gc_promoted_words : float;
-}
-
 type measurement = {
   workload : string;
   transport : string;
@@ -66,35 +41,8 @@ type measurement = {
   major_collections : int;
   minor_words : float;
   promoted_words : float;
-  per_pe : per_pe array;  (** from the last timed repeat *)
+  per_pe : Message.worker_stats array;  (** from the last timed repeat *)
 }
-
-let per_pe_of_report (r : Farm.pe_report) : per_pe =
-  let s = r.Farm.stats in
-  {
-    pe = s.Message.stats_pe;
-    pe_tasks = s.tasks_executed;
-    pe_fishes = s.fishes_sent;
-    pe_stolen = s.tasks_stolen;
-    pe_grants = s.grants_given;
-    msgs_sent = s.msgs_sent;
-    msgs_recv = s.msgs_recv;
-    bytes_sent = s.bytes_sent;
-    bytes_recv = s.bytes_recv;
-    packets_sent = s.packets_sent;
-    packets_recv = s.packets_recv;
-    payload_bytes_sent = s.payload_bytes_sent;
-    payload_bytes_recv = s.payload_bytes_recv;
-    zero_copy_bytes_sent = s.zero_copy_bytes_sent;
-    zero_copy_bytes_recv = s.zero_copy_bytes_recv;
-    pack_ns = s.pack_ns;
-    unpack_ns = s.unpack_ns;
-    exec_ns = s.exec_ns;
-    gc_minor_collections = s.gc_minor_collections;
-    gc_major_collections = s.gc_major_collections;
-    gc_minor_words = s.gc_minor_words;
-    gc_promoted_words = s.gc_promoted_words;
-  }
 
 let measure ?(repeats = 3) ?worker_argv ?transport ~procs ~size
     (module W : Workload.S) : measurement =
@@ -161,7 +109,7 @@ let measure ?(repeats = 3) ?worker_argv ?transport ~procs ~size
     major_collections = sum (fun r -> r.Farm.stats.Message.gc_major_collections);
     minor_words = sumf (fun r -> r.Farm.stats.Message.gc_minor_words);
     promoted_words = sumf (fun r -> r.Farm.stats.Message.gc_promoted_words);
-    per_pe = Array.map per_pe_of_report last.Farm.reports;
+    per_pe = Array.map (fun r -> r.Farm.stats) last.Farm.reports;
   }
 
 let sweep ?repeats ?worker_argv ?transport ~procs_list ~size
@@ -234,14 +182,14 @@ let to_table (ms_list : measurement list) : Tablefmt.t
     ms_list;
   t
 
-let json_of_per_pe (p : per_pe) : Json.t =
+let json_of_per_pe (p : Message.worker_stats) : Json.t =
   Json.Obj
     [
-      ("pe", Json.Int p.pe);
-      ("tasks", Json.Int p.pe_tasks);
-      ("fishes", Json.Int p.pe_fishes);
-      ("stolen", Json.Int p.pe_stolen);
-      ("grants", Json.Int p.pe_grants);
+      ("pe", Json.Int p.stats_pe);
+      ("tasks", Json.Int p.tasks_executed);
+      ("fishes", Json.Int p.fishes_sent);
+      ("stolen", Json.Int p.tasks_stolen);
+      ("grants", Json.Int p.grants_given);
       ("msgs_sent", Json.Int p.msgs_sent);
       ("msgs_recv", Json.Int p.msgs_recv);
       ("bytes_sent", Json.Int p.bytes_sent);

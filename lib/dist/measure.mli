@@ -3,31 +3,6 @@
     speedups plus the message/byte/packet and private-heap GC counters
     no shared-memory run has. *)
 
-type per_pe = {
-  pe : int;
-  pe_tasks : int;
-  pe_fishes : int;
-  pe_stolen : int;  (** tasks this PE executed after stealing them *)
-  pe_grants : int;  (** tasks this PE handed to fishing peers *)
-  msgs_sent : int;
-  msgs_recv : int;
-  bytes_sent : int;  (** on-wire bytes, packet headers included *)
-  bytes_recv : int;
-  packets_sent : int;
-  packets_recv : int;
-  payload_bytes_sent : int;  (** application payload, headers excluded *)
-  payload_bytes_recv : int;
-  zero_copy_bytes_sent : int;  (** float frames written in place (shm) *)
-  zero_copy_bytes_recv : int;
-  pack_ns : int;
-  unpack_ns : int;
-  exec_ns : int;
-  gc_minor_collections : int;  (** deltas of the PE's private heap *)
-  gc_major_collections : int;
-  gc_minor_words : float;
-  gc_promoted_words : float;
-}
-
 type measurement = {
   workload : string;
   transport : string;  (** ["socketpair"] or ["shm"] *)
@@ -57,7 +32,7 @@ type measurement = {
   major_collections : int;
   minor_words : float;
   promoted_words : float;
-  per_pe : per_pe array;  (** from the last timed repeat *)
+  per_pe : Message.worker_stats array;  (** from the last timed repeat *)
 }
 
 (** One warm-up plus [repeats] (default 3) timed runs, each on fresh

@@ -182,7 +182,6 @@ type conn = {
   in_ring : ring;
   doorbell : Unix.file_descr option;
       (** full-duplex: we block reading it, we wake the peer writing it *)
-  fence : Tatomic.Fence.t;
   counters : Wire.counters;
   frame_bytes : int;  (** max payload bytes per frame *)
   mutable on_wait : (unit -> unit) option;
@@ -276,7 +275,6 @@ let attach ~path ~side ?doorbell () =
     out_ring;
     in_ring;
     doorbell;
-    fence = Tatomic.Fence.create ();
     counters;
     frame_bytes = max 8 (align8 (min (32 * 1024) (cap / 4)));
     on_wait = None;
@@ -358,12 +356,12 @@ let write_frame c ~kind ~last ~len ~payload_bytes ~write =
   A1.set r.data_words (off / 8) (Int64.of_int (frame_header ~kind ~last ~len));
   write (off + word);
   (* publish: payload and header must be visible before the new tail *)
-  Tatomic.Fence.full c.fence;
+  Tatomic.Fence.full ();
   r.tail_local <- tail + need;
   Mapped_word.store r.tail_w r.tail_local;
   (* StoreLoad edge of the Dekker handshake: tail-store above vs
      sleeping-load below *)
-  Tatomic.Fence.full c.fence;
+  Tatomic.Fence.full ();
   if Mapped_word.load r.sleeping_w <> 0 then ring_doorbell c
 
 let frames_of_len ~frame_bytes len =
@@ -434,7 +432,7 @@ let prepare_sleep c =
   (* StoreLoad edge: the caller's re-check of [tail] must not be
      satisfied by a load hoisted above the store — symmetric to the
      producer's fence after publishing *)
-  Tatomic.Fence.full c.fence
+  Tatomic.Fence.full ()
 
 let cancel_sleep c = Mapped_word.store c.in_ring.sleeping_w 0
 
@@ -501,12 +499,12 @@ let rec next_header c ~mid =
   (* the tail observation above must precede the data reads below
      (LoadLoad — free on x86, not on ARM, and the compiler knows
      neither) *)
-  Tatomic.Fence.full c.fence;
+  Tatomic.Fence.full ();
   let pos = r.head_local mod r.cap in
   let h = Int64.to_int (A1.get r.data_words (pos / 8)) in
   if header_kind h = kind_skip then begin
     (* a skip frame releases the dead tail of the ring in one bump *)
-    Tatomic.Fence.full c.fence;
+    Tatomic.Fence.full ();
     r.head_local <- r.head_local + (r.cap - pos);
     Mapped_word.store r.head_w r.head_local;
     next_header c ~mid
@@ -517,7 +515,7 @@ let rec next_header c ~mid =
    the head-store that lets the producer overwrite them. *)
 let consume c ~payload_bytes =
   let r = c.in_ring in
-  Tatomic.Fence.full c.fence;
+  Tatomic.Fence.full ();
   r.head_local <- r.head_local + word + align8 payload_bytes;
   Mapped_word.store r.head_w r.head_local
 

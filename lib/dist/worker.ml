@@ -50,22 +50,24 @@ type executed = {
 }
 
 (* Build the payload -> executed function once per session.  Workload
-   mode looks the workload up in the registry and round-trips typed
-   task/result values — through the blob codec when the workload
-   declares one, so bulk float results skip [Marshal] on both
-   transports; [Closures] mode expects a marshalled [unit -> string]
-   whose output is already the result payload. *)
+   mode looks the workload up in the registry, builds its closed inputs
+   and the session's resident state, and round-trips typed task/result
+   values — through the blob codec when the workload declares one, so
+   bulk float results skip [Marshal] on both transports; [Closures]
+   mode expects a marshalled [unit -> string] whose output is already
+   the result payload. *)
 let executor (mode : Message.mode) : string -> executed =
   match mode with
   | Message.Workload { name; size } -> (
       match Workload.find name with
       | None -> failwith (Printf.sprintf "dist worker: unknown workload %S" name)
       | Some (module W) ->
+          let inputs = W.inputs ~size and resident = W.resident () in
           fun payload ->
             let t0 = Clock.now_ns () in
             let task : W.task = Marshal.from_string payload 0 in
             let t1 = Clock.now_ns () in
-            let r = W.execute ~size task in
+            let r = W.execute inputs resident task in
             let t2 = Clock.now_ns () in
             let out =
               match W.result_blob with

@@ -1,223 +1,75 @@
-(** Pure workloads wired to the real executor.
+(** The spark-pool interpreter of the shared workload definitions.
 
-    Each workload is the same computation the simulator runs
-    ([lib/workloads]) but with {e real} work on {e real} domains: no
-    virtual cost charging, values computed by the actual kernels and
-    checked against the sequential references.  Results are
-    represented as a deterministic [int] checksum so a single
-    signature covers integer- and float-valued benchmarks; float
-    checksums are compared bit-for-bit (the parallel kernels perform
-    their floating-point reductions in exactly the reference order, so
-    equality is exact, not approximate). *)
+    A definition ([Repro_workloads.Rounds]) is a plan of barrier rounds
+    over pure-data tasks; here every task of a round becomes a spark
+    (through {!Strategies}, so outside a {!Pool} the rounds run
+    sequentially) and the round's results come back in task order.
+    The plan is drawn for [procs = available_cores ()] slots.  A
+    pinned round keeps the farm's rule: task [i] belongs to slot
+    [i mod procs], whose tasks run one at a time, in order, against
+    the slot's own resident state — so that state is only ever touched
+    by the one spark evaluating its slot. *)
 
-module Euler = Repro_workloads.Euler
-module Parfib = Repro_workloads.Parfib
-module Matrix = Repro_workloads.Matrix
-module Mandelbrot = Repro_workloads.Mandelbrot
-module Apsp = Repro_workloads.Apsp
+module Rounds = Repro_workloads.Rounds
 module S = Strategies
 
 module type S = sig
   val name : string
-
-  (** What [size] means for this workload. *)
   val size_doc : string
-
   val default_size : int
-
-  (** Small size for tests and CI smoke runs. *)
   val quick_size : int
-
-  (** Parallel run (uses {!Strategies}; degrades to sequential outside
-      a {!Pool}).  Returns the checksum. *)
   val run : size:int -> unit -> int
-
-  (** Sequential reference checksum (never sparks). *)
   val reference : size:int -> int
 end
 
-let float_bits f = Int64.to_int (Int64.bits_of_float f)
-
-(* ---------------- sumEuler ---------------- *)
-
-module Sumeuler : S = struct
-  let name = "sumeuler"
-  let size_doc = "sum of Euler's totient over [1..size]"
-  let default_size = 300_000
-  let quick_size = 2_000
-
-  let chunk_sum ks = List.fold_left (fun a k -> a + Euler.phi_fast k) 0 ks
+module Of_rounds (R : Rounds.S) : S = struct
+  let name = R.name
+  let size_doc = R.size_doc
+  let default_size = R.default_size
+  let quick_size = R.quick_size
+  let reference = R.reference
 
   let run ~size () =
-    let chunks = max (S.default_chunks size) (min 512 (size / 50)) in
-    let input = List.init size (fun i -> i + 1) in
-    (* round-robin dealing balances: phi's cost grows with k *)
-    S.par_chunked ~split:`Round_robin ~chunks chunk_sum input
-    |> List.fold_left ( + ) 0
-
-  let reference ~size = Euler.sum_euler_ref size
-end
-
-(* ---------------- parfib ---------------- *)
-
-module Parfib_w : S = struct
-  let name = "parfib"
-  let size_doc = "nfib size (naive call count), left branch sparked"
-  let default_size = 34
-  let quick_size = 24
-
-  let rec nfib n = if n < 2 then 1 else nfib (n - 1) + nfib (n - 2) + 1
-
-  (* The classic GpH stress shape: spark the left branch of every call
-     above the threshold.  Threshold [size - 10] yields a few hundred
-     sparks regardless of [size]. *)
-  let rec pfib n threshold =
-    if n < threshold || n < 2 then nfib n
-    else
-      let a, b =
-        S.par (fun () -> pfib (n - 1) threshold) (fun () -> pfib (n - 2) threshold)
-      in
-      a + b + 1
-
-  let run ~size () = pfib size (max 2 (size - 10))
-  let reference ~size = Parfib.reference size
-end
-
-(* ---------------- matmul ---------------- *)
-
-module Matmul : S = struct
-  let name = "matmul"
-  let size_doc = "size x size dense float multiply"
-  let default_size = 384
-  let quick_size = 64
-
-  (* Row kernel: per-element dot product with ascending-k accumulation
-     — the same summation order as [Matrix.mul_ref], so the parallel
-     checksum matches the reference bit-for-bit. *)
-  let rows_kernel a b c lo hi =
-    let n = Array.length a in
-    for i = lo to hi do
-      let ai = a.(i) and ci = c.(i) in
-      for j = 0 to n - 1 do
-        let s = ref 0.0 in
-        for k = 0 to n - 1 do
-          s := !s +. (ai.(k) *. b.(k).(j))
-        done;
-        ci.(j) <- !s
-      done
-    done
-
-  let inputs size = (Matrix.random ~seed:11 size, Matrix.random ~seed:23 size)
-
-  let run ~size () =
-    let a, b = inputs size in
-    let c = Matrix.zero size in
-    (* spark-purity (baselined): rows_kernel writes [c] in place, but
-       ranges are disjoint and every write is a pure function of [a],
-       [b] and the indices — duplicate evaluation rewrites identical
-       values, so the mutation is idempotent. *)
-    S.par_range ~chunks:(S.default_chunks size) 0 (size - 1)
-      (fun lo hi -> rows_kernel a b c lo hi)
-      ~combine:(fun () () -> ())
-      ~init:();
-    float_bits (Matrix.checksum c)
-
-  let reference ~size =
-    let a, b = inputs size in
-    let c = Matrix.zero size in
-    rows_kernel a b c 0 (size - 1);
-    float_bits (Matrix.checksum c)
-end
-
-(* ---------------- mandelbrot ---------------- *)
-
-module Mandelbrot_w : S = struct
-  let name = "mandelbrot"
-  let size_doc = "size x size rendering of the default view"
-  let default_size = 500
-  let quick_size = 64
-
-  let row_total ~size y =
-    let _, total =
-      Mandelbrot.compute_row ~view:Mandelbrot.default_view ~width:size
-        ~height:size y
+    let inputs = R.inputs ~size in
+    let procs = S.available_cores () in
+    let slots = Array.init procs (fun _ -> R.resident ()) in
+    let round tasks pinned =
+      if pinned then begin
+        let n = Array.length tasks in
+        let per_slot =
+          S.par_map
+            (fun s ->
+              Array.init
+                ((n - s + procs - 1) / procs)
+                (fun j -> R.execute inputs slots.(s) tasks.(s + (j * procs))))
+            (List.init procs Fun.id)
+          |> Array.of_list
+        in
+        Array.init n (fun i -> per_slot.(i mod procs).(i / procs))
+      end
+      else
+        Array.of_list
+          (S.par_map
+             (fun t -> R.execute inputs (R.resident ()) t)
+             (Array.to_list tasks))
     in
-    total
-
-  let run ~size () =
-    (* Irregular row costs: many fine chunks + round-robin-ish
-       contiguous striping keeps the load balanced dynamically via
-       stealing. *)
-    let chunks = max (S.default_chunks size) (min 128 size) in
-    S.par_range ~chunks 0 (size - 1)
-      (fun lo hi ->
-        let s = ref 0 in
-        for y = lo to hi do
-          s := !s + row_total ~size y
-        done;
-        !s)
-      ~combine:( + ) ~init:0
-
-  let reference ~size = Mandelbrot.reference ~width:size ~height:size ()
+    let rec go st tasks pinned =
+      match R.step st (round tasks pinned) with
+      | `Done v -> v
+      | `Round (st, tasks, pinned) -> go st tasks pinned
+    in
+    let st, tasks, pinned = R.start ~size ~procs in
+    go st tasks pinned
 end
 
-(* ---------------- apsp ---------------- *)
+let of_rounds (module R : Rounds.S) = (module Of_rounds (R) : S)
 
-module Apsp_w : S = struct
-  let name = "apsp"
-  let size_doc = "all-pairs shortest paths on a size-node digraph"
-  let default_size = 256
-  let quick_size = 48
+module Sumeuler = Of_rounds (Rounds.Sumeuler)
+module Parfib = Of_rounds (Rounds.Parfib)
+module Matmul = Of_rounds (Rounds.Matmul)
+module Mandelbrot_w = Of_rounds (Rounds.Mandelbrot_w)
+module Apsp_w = Of_rounds (Rounds.Apsp_w)
 
-  (* One pivot step on rows [lo..hi], in place.  Row [k] is read-only
-     during step [k] (its own update is the identity), so concurrent
-     row ranges only share read access; arithmetic is exactly
-     [Apsp.floyd_warshall]'s. *)
-  let pivot_step d k lo hi =
-    let n = Array.length d in
-    let dk = d.(k) in
-    for i = lo to hi do
-      let di = d.(i) in
-      let dik = di.(k) in
-      if dik < infinity then
-        for j = 0 to n - 1 do
-          let via = dik +. dk.(j) in
-          if via < di.(j) then di.(j) <- via
-        done
-    done
-
-  let run ~size () =
-    let d = Array.map Array.copy (Apsp.graph size) in
-    let chunks = S.default_chunks size in
-    for k = 0 to size - 1 do
-      (* per-pivot barrier: par_range forces every range before
-         returning, matching the simulator's pivot-chain dependency.
-         spark-purity (baselined): pivot_step min-updates disjoint row
-         ranges of [d]; within one pivot step the update is a pure
-         function of step-entry state, so re-evaluation is idempotent. *)
-      S.par_range ~chunks 0 (size - 1)
-        (fun lo hi -> pivot_step d k lo hi)
-        ~combine:(fun () () -> ())
-        ~init:()
-    done;
-    float_bits (Apsp.checksum d)
-
-  let reference ~size =
-    float_bits (Apsp.checksum (Apsp.floyd_warshall (Apsp.graph size)))
-end
-
-(* ---------------- registry ---------------- *)
-
-let all : (module S) list =
-  [
-    (module Sumeuler);
-    (module Parfib_w);
-    (module Matmul);
-    (module Mandelbrot_w);
-    (module Apsp_w);
-  ]
-
-let names = List.map (fun (module W : S) -> W.name) all
-
-let find name =
-  List.find_opt (fun (module W : S) -> W.name = name) all
+let all = List.map of_rounds Rounds.all
+let names = Rounds.names
+let find name = Option.map of_rounds (Rounds.find name)

@@ -1,8 +1,7 @@
-(** Pure workloads wired to the real executor behind one signature:
-    the simulator's benchmarks ([lib/workloads]) doing {e real} work on
-    {e real} domains, with results reduced to a deterministic [int]
-    checksum (float checksums compare bit-for-bit because the parallel
-    kernels reduce in reference order). *)
+(** The spark-pool interpreter of the shared workload definitions
+    ([Repro_workloads.Rounds]): each round's tasks run as sparks on
+    {e real} domains over one shared heap, with results reduced to the
+    definition's deterministic [int] checksum. *)
 
 module type S = sig
   val name : string
@@ -22,13 +21,16 @@ module type S = sig
   val reference : size:int -> int
 end
 
+(** Interpret one definition. *)
+val of_rounds : (module Repro_workloads.Rounds.S) -> (module S)
+
 module Sumeuler : S
-module Parfib_w : S
+module Parfib : S
 module Matmul : S
 module Mandelbrot_w : S
 module Apsp_w : S
 
-(** Every wired workload, in presentation order. *)
+(** Every workload, in the registry's order. *)
 val all : (module S) list
 
 val names : string list

@@ -72,14 +72,13 @@ end
     ring doorbell (consumer: store [sleeping]=1 {e then} load [tail];
     producer: store [tail] {e then} load [sleeping]).  Plain mapped
     stores and loads may be reordered across each other (StoreLoad) by
-    both the hardware and the compiler; an [Atomic.exchange] on a
-    process-local cell is a compiler barrier in the OCaml memory model
-    and compiles to a locked instruction (a full fence) on x86-64 and
-    to ldaxr/stlxr pairs on AArch64.  Each ring side owns its own cell
-    so fences never contend across domains. *)
+    both the hardware and the compiler.  [full] is a C call (opaque to
+    the compiler) issuing a sequentially consistent fence ([mfence] or
+    a locked instruction on x86-64, [dmb ish] on AArch64).  An
+    [Atomic.exchange] is not enough: while a process runs a single
+    domain (every shm worker does) the runtime performs it as a plain
+    load and store, and the handshake then loses wake-ups (seen as a
+    farm hung with a result sitting in its ring). *)
 module Fence = struct
-  type t = int Real.t
-
-  let create () : t = Real.make 0
-  let full (t : t) = ignore (Real.exchange t 0)
+  external full : unit -> unit = "repro_full_fence" [@@noalloc]
 end

@@ -187,16 +187,35 @@ let events_ledger_balances_after_many_runs () =
 (* ---------------- workload determinism at 1/2/4 domains ---------------- *)
 
 let workload_deterministic (module W : Workload.S) () =
+  (* awkward sizes too: empty, a single element, fewer elements than
+     domains *)
+  List.iter
+    (fun size ->
+      let expect = W.reference ~size in
+      check Alcotest.int
+        (Printf.sprintf "%s size %d outside a pool = reference" W.name size)
+        expect (W.run ~size ());
+      List.iter
+        (fun cores ->
+          let got = Pool.with_pool ~cores (fun () -> W.run ~size ()) in
+          check Alcotest.int
+            (Printf.sprintf "%s size %d at %d domain(s) = reference" W.name size
+               cores)
+            expect got)
+        [ 1; 2; 4 ])
+    [ 0; 1; 3; W.quick_size ];
+  (* four domains running it at once, 20 times each: state shared
+     between concurrent runs shows up as a wrong checksum *)
   let size = W.quick_size in
   let expect = W.reference ~size in
-  List.iter
-    (fun cores ->
-      let got = Pool.with_pool ~cores (fun () -> W.run ~size ()) in
-      check Alcotest.int
-        (Printf.sprintf "%s size %d at %d domain(s) = reference" W.name size
-           cores)
-        expect got)
-    [ 1; 2; 4 ]
+  List.init 4 (fun _ ->
+      Domain.spawn (fun () -> List.init 20 (fun _ -> W.run ~size ())))
+  |> List.iter (fun d ->
+         List.iter
+           (check Alcotest.int
+              (Printf.sprintf "%s size %d, 4 concurrent domains" W.name size)
+              expect)
+           (Domain.join d))
 
 let matmul_kernel_matches_mul_ref () =
   (* the exec row kernel must agree bit-for-bit with Matrix.mul_ref *)
